@@ -67,8 +67,7 @@ pub fn profile_benchmark(b: &Benchmark, synth: ParallelSynth) -> PhaseTimings {
     let reach = span.finish().as_secs_f64();
 
     let span = simc_obs::span("profile_assign");
-    let opts = ReduceOptions { threads: synth.threads(), ..ReduceOptions::default() };
-    let reduced = reduce_to_mc(&sg, opts).expect("suite benchmark reduces");
+    let reduced = reduce_to_mc(&sg, ReduceOptions::default()).expect("suite benchmark reduces");
     let assign = span.finish().as_secs_f64();
 
     let span = simc_obs::span("profile_regions");

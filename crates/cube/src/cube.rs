@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 
 /// A cube (product term): a conjunction of literals over variables `0..64`.
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// `care` is set). The cube with no literals is the universal cube
 /// ([`Cube::top`]); cubes here are never the empty product — emptiness only
 /// arises from failed intersections, which return `None`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Cube {
     care: u64,
     value: u64,

@@ -157,7 +157,6 @@ pub fn check_case(
         max_candidates: 12,
         beam_width: 6,
         branch: 4,
-        ..ReduceOptions::default()
     };
     let mut pipeline = Pipeline::from_sg(sg.clone())
         .with_reduce_options(reduce_opts)

@@ -41,17 +41,6 @@ pub struct ReduceOptions {
     pub beam_width: usize,
     /// Candidates kept per beam node per depth.
     pub branch: usize,
-    /// Worker threads for beam-node expansion (1 = sequential). Results
-    /// are identical for every thread count.
-    pub threads: usize,
-    /// Number of alternative solver configurations raced when the primary
-    /// configuration finds no candidate at all for a beam node (0
-    /// disables the portfolio). Each configuration enumerates from a
-    /// different phase bias; every race runs all configurations to
-    /// completion and takes the first non-empty one in configuration
-    /// order, so results — and the obs counters — are identical for every
-    /// thread count.
-    pub portfolio: usize,
 }
 
 impl Default for ReduceOptions {
@@ -61,8 +50,6 @@ impl Default for ReduceOptions {
             max_candidates: 12,
             beam_width: 6,
             branch: 3,
-            threads: 1,
-            portfolio: 3,
         }
     }
 }
@@ -179,37 +166,25 @@ pub fn reduce_to_mc(sg: &StateGraph, opts: ReduceOptions) -> Result<ReduceResult
             return Err(McError::SignalBudgetExceeded { budget: opts.max_signals });
         }
         let last_scores: Vec<_> = beam.iter().map(|n| n.score).collect();
-        // Beam nodes expand independently; fan them across the pool in
-        // fixed-size batches. After each batch, if some candidate already
-        // solves the graph, the remaining siblings are skipped — they
-        // could only add alternatives the next iteration would discard.
-        // The batch size is a constant (not tied to `opts.threads`), so
-        // the early-exit point — and with it the result — is identical
-        // for every thread count.
+        // Beam nodes expand in fixed-size batches. After each batch, if
+        // some candidate already solves the graph, the remaining siblings
+        // are skipped — they could only add alternatives the next
+        // iteration would discard. Which solved node wins depends on the
+        // batch boundary, so the batch size is part of the search's
+        // definition, not a tuning knob.
         const NODE_BATCH: usize = 4;
         let mut pool: Vec<Node> = Vec::new();
         let mut expanded_nodes = 0usize;
         'depth: for batch in beam.chunks(NODE_BATCH) {
-            // Candidate search walks each node's state set per examined
-            // model: states × edges approximates a node's work, keeping
-            // figure-sized graphs inline while real benchmarks fan out.
-            let work: u64 = batch
-                .iter()
-                .map(|n| n.sg.state_count() as u64 * n.sg.edge_count() as u64)
-                .sum();
-            let expansions = crate::parallel::parallel_map_sized(batch, opts.threads, work, |node| {
+            let mut solved = false;
+            for node in batch {
                 let check = McCheck::new(&node.sg);
                 let name = fresh_name(&node.sg, depth);
-                let mut cands =
+                let cands =
                     search::candidate_insertions(&check, &name, opts.max_candidates, opts.branch);
-                if cands.is_empty() && opts.portfolio > 0 {
-                    cands = portfolio_rescue(&check, &name, &opts);
+                if cands.is_empty() && simc_obs::counters_enabled() {
+                    simc_obs::add(simc_obs::Counter::PortfolioRaces, 1);
                 }
-                (name, cands)
-            });
-            expanded_nodes += batch.len();
-            let mut solved = false;
-            for (node, (name, cands)) in batch.iter().zip(expansions) {
                 for cand in cands {
                     let mut log = node.log.clone();
                     log.push(format!("inserted `{name}`: {}", cand.description));
@@ -217,6 +192,7 @@ pub fn reduce_to_mc(sg: &StateGraph, opts: ReduceOptions) -> Result<ReduceResult
                     pool.push(Node { sg: cand.sg, score: cand.score, log });
                 }
             }
+            expanded_nodes += batch.len();
             if solved {
                 break 'depth;
             }
@@ -249,39 +225,6 @@ pub fn reduce_to_mc(sg: &StateGraph, opts: ReduceOptions) -> Result<ReduceResult
         beam = pool;
     }
     unreachable!("loop returns within the budget bound")
-}
-
-/// Races the alternative solver configurations for a beam node whose
-/// primary search came up empty. All configurations run to completion —
-/// racing changes wall-clock only — and the winner is the first non-empty
-/// result in configuration order, so the outcome (and every counter) is
-/// deterministic for any thread count.
-fn portfolio_rescue(
-    check: &McCheck<'_>,
-    name: &str,
-    opts: &ReduceOptions,
-) -> Vec<search::Candidate> {
-    if simc_obs::counters_enabled() {
-        simc_obs::add(simc_obs::Counter::PortfolioRaces, 1);
-    }
-    let configs: Vec<u64> = (1..=opts.portfolio as u64).collect();
-    let mut results = crate::parallel::parallel_map(&configs, opts.threads, |&config| {
-        search::candidate_insertions_config(check, name, opts.max_candidates, opts.branch, config)
-    });
-    for (i, cands) in results.iter_mut().enumerate() {
-        if !cands.is_empty() {
-            if simc_obs::counters_enabled() {
-                let win = match i {
-                    0 => simc_obs::Counter::PortfolioWinsCfg1,
-                    1 => simc_obs::Counter::PortfolioWinsCfg2,
-                    _ => simc_obs::Counter::PortfolioWinsCfg3,
-                };
-                simc_obs::add(win, 1);
-            }
-            return std::mem::take(cands);
-        }
-    }
-    Vec::new()
 }
 
 fn fresh_name(sg: &StateGraph, round: usize) -> String {

@@ -343,21 +343,6 @@ pub(super) fn candidate_insertions(
     max_candidates: usize,
     keep: usize,
 ) -> Vec<Candidate> {
-    candidate_insertions_config(check, name, max_candidates, keep, 0)
-}
-
-/// [`candidate_insertions`] under an explicit solver configuration.
-///
-/// Config 0 is the primary deterministic configuration; nonzero configs
-/// start each problem from a different phase bias and are raced by the
-/// portfolio fallback when the primary finds no candidate at all.
-pub(super) fn candidate_insertions_config(
-    check: &McCheck<'_>,
-    name: &str,
-    max_candidates: usize,
-    keep: usize,
-    config: u64,
-) -> Vec<Candidate> {
     let sg = check.sg();
     let report = check.report();
     let parent_score = score_of_report(&report);
@@ -492,9 +477,6 @@ pub(super) fn candidate_insertions_config(
         // A fixed phase baseline per problem keeps the enumeration order
         // independent of whatever the previous problem converged to.
         solver.reset_polarities();
-        if config != 0 {
-            solver.scramble_polarities(0x5eed ^ config.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        }
         let mut examined = 0;
         let mut stagnant = 0;
         let mut pushed = 0usize;
@@ -507,7 +489,7 @@ pub(super) fn candidate_insertions_config(
         while examined < budget && (pushed == 0 || stagnant < STAGNATION_WINDOW) {
             if examined % 4 == 3 {
                 // Spread the enumeration across the assignment space.
-                solver.scramble_polarities(0x9e37 + examined as u64 + (config << 16));
+                solver.scramble_polarities(0x9e37 + examined as u64);
             }
             let sp = simc_obs::span("assign_sat");
             let outcome = solver.solve_with_assumptions(&[act]);

@@ -9,13 +9,12 @@
 //! completely, via the workspace SAT solver — and produces the per-region
 //! [`McReport`] that drives synthesis and MC-reduction.
 
-use serde::{Deserialize, Serialize};
 use simc_cube::Cube;
 use simc_sat::{Lit, SatResult, Solver};
 use simc_sg::{BitSet, Dir, ErId, Regions, SignalId, StateGraph, StateId};
 
 /// Why no monotonous-cover cube exists for a region.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum McCubeFailure {
     /// Even the maximal (Lemma 3) cube covers reachable states outside the
     /// constant-function region — no *correct* single-cube cover exists.
@@ -43,7 +42,7 @@ impl McCubeFailure {
 }
 
 /// How one excitation function (`S_a` or `R_a`) is covered.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FunctionCover {
     /// One monotonous cover cube per excitation region (Def. 18);
     /// `regions` and `cubes` are parallel.
@@ -85,7 +84,7 @@ impl FunctionCover {
 }
 
 /// One excitation function's entry in an [`McReport`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct McEntry {
     /// The function's signal.
     pub signal: SignalId,
@@ -99,7 +98,7 @@ pub struct McEntry {
 /// The outcome of checking the MC requirement (Def. 18, with the
 /// degenerate-case exception of Section IV) on a state graph: one entry
 /// per excitation function of each non-input signal.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct McReport {
     entries: Vec<McEntry>,
 }

@@ -13,37 +13,18 @@ use simc_sg::{Dir, StateGraph};
 
 use crate::cover::{McCheck, McReport};
 use crate::error::McError;
-use crate::synth::{build_from_covers, Implementation, Target};
+use crate::synth::{build_from_report, Implementation, Target};
 
-/// Estimated work (in [`parallel_map_sized`]'s abstract units — roughly
-/// "state visits") below which a whole map is cheaper than spawning even
-/// one scoped thread, so it always runs inline. Calibrated on the
-/// benchmark suite: a trivial cover report costs a few microseconds,
-/// spawning and joining a scoped pool costs tens.
-pub const INLINE_WORK_UNITS: u64 = 4096;
-
-/// [`parallel_map`] with an estimated total work size: maps whose
-/// `work_units` fall below [`INLINE_WORK_UNITS`] run inline regardless of
-/// `threads`, so trivially small jobs — a cover report on a 30-state
-/// benchmark — never pay thread-spawn overhead that exceeds the work
-/// itself. Results are identical either way; only wall-clock changes.
-pub fn parallel_map_sized<T, R, F>(items: &[T], threads: usize, work_units: u64, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let threads = if work_units < INLINE_WORK_UNITS { 1 } else { threads };
-    parallel_map(items, threads, f)
-}
-
-/// Maps `f` over `items` on `threads` OS threads, preserving input order.
+/// Maps `f` over `items` on up to `threads` OS threads, preserving input
+/// order.
 ///
 /// Work is distributed dynamically (an atomic next-item counter), so
-/// uneven item costs — one hard SAT search among many trivial ones — do
-/// not idle whole threads. With `threads <= 1`, or fewer than two items,
-/// runs inline with no thread spawned. Callers that can estimate their
-/// work cheaply should prefer [`parallel_map_sized`].
+/// uneven item costs — one hard cover search among many trivial ones — do
+/// not idle whole threads. CPU-bound work gains nothing from more workers
+/// than hardware threads, so the worker count is clamped to the machine's
+/// available parallelism and to the item count; with one worker the map
+/// runs inline with no thread spawned. The clamp never changes results,
+/// only wall-clock.
 ///
 /// # Panics
 ///
@@ -54,28 +35,8 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    // CPU-bound work gains nothing from more workers than hardware
-    // threads — oversubscription just adds scheduler overhead (a 4-worker
-    // request on a 1-core machine ran the beam search ~2× slower). The
-    // clamp never changes results, only wall-clock.
     let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    parallel_map_exact(items, threads.min(hw), f)
-}
-
-/// [`parallel_map`] without the hardware clamp: spawns exactly
-/// `threads` workers (clamped to the item count only). Tests use it to
-/// exercise the scoped-thread machinery regardless of the machine
-/// running them, and `simc serve` uses it for its worker pool — pool
-/// workers *block* (on sockets, queues and in-flight computations
-/// they joined), so unlike the CPU-bound cover search they must be
-/// allowed to outnumber hardware threads.
-pub fn parallel_map_exact<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let threads = threads.clamp(1, items.len().max(1));
+    let threads = threads.min(hw).clamp(1, items.len().max(1));
     if threads == 1 {
         return items.iter().map(f).collect();
     }
@@ -104,6 +65,12 @@ where
     });
     slots.into_iter().map(|r| r.expect("every item claimed")).collect()
 }
+
+/// Estimated work (roughly "state visits": states × functions) below
+/// which a cover report runs inline whatever the thread count — a
+/// trivial report costs a few microseconds, spawning and joining a
+/// scoped pool costs tens.
+const INLINE_REPORT_WORK: u64 = 4096;
 
 /// A synthesis driver that fans independent cover searches across a
 /// scoped thread pool.
@@ -153,18 +120,17 @@ impl ParallelSynth {
         // times; states × functions approximates the total work well
         // enough to keep suite-sized reports inline.
         let work = check.sg().state_count() as u64 * functions.len() as u64;
-        let entries =
-            parallel_map_sized(&functions, self.threads, work, |&(a, dir)| crate::cover::McEntry {
-                signal: a,
-                dir,
-                result: check.function_cover(a, dir),
-            });
+        let threads = if work < INLINE_REPORT_WORK { 1 } else { self.threads };
+        let entries = parallel_map(&functions, threads, |&(a, dir)| crate::cover::McEntry {
+            signal: a,
+            dir,
+            result: check.function_cover(a, dir),
+        });
         McReport::from_entries(entries)
     }
 
     /// [`synthesize`](crate::synth::synthesize) with the function covers
-    /// computed concurrently (and, unlike the sequential path, computed
-    /// once rather than once for the report and once for the netlist).
+    /// computed concurrently.
     ///
     /// # Errors
     ///
@@ -175,21 +141,7 @@ impl ParallelSynth {
         if !sg.analysis().is_output_semimodular() {
             return Err(McError::NotOutputSemimodular);
         }
-        let check = McCheck::new(sg);
-        let report = self.report(&check);
-        if !report.satisfied() {
-            return Err(McError::NotMonotonous { violations: report.violation_count() });
-        }
-        // Entries come in (signal; up, down) order — pair them back up.
-        let mut covers = Vec::with_capacity(report.entries().len() / 2);
-        let mut entries = report.entries().iter();
-        while let (Some(up), Some(down)) = (entries.next(), entries.next()) {
-            debug_assert_eq!(up.signal, down.signal);
-            let set = up.result.clone().expect("satisfied report");
-            let reset = down.result.clone().expect("satisfied report");
-            covers.push((up.signal, set, reset));
-        }
-        Ok(build_from_covers(sg, covers, target))
+        build_from_report(sg, &self.report(&McCheck::new(sg)), target)
     }
 }
 
@@ -200,12 +152,9 @@ mod tests {
 
     #[test]
     fn parallel_map_preserves_order() {
-        // `parallel_map_exact` so the scoped-thread machinery actually
-        // runs even on single-core machines (the public entry point
-        // clamps to hardware parallelism).
         let items: Vec<usize> = (0..100).collect();
         for threads in [1, 2, 3, 8] {
-            let out = parallel_map_exact(&items, threads, |&i| i * 2);
+            let out = parallel_map(&items, threads, |&i| i * 2);
             assert_eq!(out, items.iter().map(|&i| i * 2).collect::<Vec<_>>());
         }
     }
@@ -213,19 +162,8 @@ mod tests {
     #[test]
     fn parallel_map_handles_empty_and_single() {
         let empty: Vec<u32> = Vec::new();
-        assert!(parallel_map_exact(&empty, 8, |&i| i).is_empty());
-        assert_eq!(parallel_map_exact(&[7u32], 8, |&i| i + 1), vec![8]);
-    }
-
-    #[test]
-    fn sized_map_runs_small_work_inline() {
-        // Below the inline threshold the sized variant must not spawn —
-        // observable through identical results and no panics; above it,
-        // it defers to `parallel_map`.
-        let items: Vec<usize> = (0..10).collect();
-        let small = parallel_map_sized(&items, 8, INLINE_WORK_UNITS - 1, |&i| i + 1);
-        let large = parallel_map_sized(&items, 8, INLINE_WORK_UNITS, |&i| i + 1);
-        assert_eq!(small, large);
+        assert!(parallel_map(&empty, 8, |&i| i).is_empty());
+        assert_eq!(parallel_map(&[7u32], 8, |&i| i + 1), vec![8]);
     }
 
     #[test]

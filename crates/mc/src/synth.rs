@@ -10,9 +10,9 @@
 
 use simc_cube::{Cover, Cube};
 use simc_netlist::{NetId, Netlist};
-use simc_sg::{Dir, SignalId, SignalKind, StateGraph};
+use simc_sg::{SignalId, SignalKind, StateGraph};
 
-use crate::cover::{FunctionCover, McCheck};
+use crate::cover::{FunctionCover, McCheck, McReport};
 use crate::error::McError;
 
 /// The restoring memory element to target (Figure 2a vs. 2b).
@@ -307,12 +307,39 @@ pub fn synthesize(sg: &StateGraph, target: Target) -> Result<Implementation, McE
     if !sg.analysis().is_output_semimodular() {
         return Err(McError::NotOutputSemimodular);
     }
-    let check = McCheck::new(sg);
-    let report = check.report();
+    build_from_report(sg, &McCheck::new(sg).report(), target)
+}
+
+/// Builds the implementation of `sg` from its MC report, pairing each
+/// signal's up and down entries into the signal network's covers — the
+/// one path from a report to an [`Implementation`], so the cover search
+/// never runs twice.
+///
+/// # Errors
+///
+/// Fails with [`McError::NotMonotonous`] if the report does not satisfy
+/// the MC requirement.
+pub fn build_from_report(
+    sg: &StateGraph,
+    report: &McReport,
+    target: Target,
+) -> Result<Implementation, McError> {
     if !report.satisfied() {
         return Err(McError::NotMonotonous { violations: report.violation_count() });
     }
-    build_implementation(sg, &check, target)
+    // Entries come in (signal; up, down) order — pair them back up.
+    let covers = report
+        .entries()
+        .chunks_exact(2)
+        .map(|pair| {
+            let (up, down) = (&pair[0], &pair[1]);
+            debug_assert_eq!(up.signal, down.signal);
+            let set = up.result.clone().expect("satisfied report");
+            let reset = down.result.clone().expect("satisfied report");
+            (up.signal, set, reset)
+        })
+        .collect();
+    Ok(build_from_covers(sg, covers, target))
 }
 
 /// Builds an [`Implementation`] from precomputed function covers; shared
@@ -354,24 +381,6 @@ pub fn build_from_covers(
         })
         .collect();
     Implementation { target, signal_names, input_names, non_input_kinds, networks }
-}
-
-fn build_implementation(
-    sg: &StateGraph,
-    check: &McCheck<'_>,
-    target: Target,
-) -> Result<Implementation, McError> {
-    let mut covers = Vec::new();
-    for a in sg.non_input_signals() {
-        let set = check
-            .function_cover(a, Dir::Rise)
-            .map_err(|v| McError::NotMonotonous { violations: v.len() })?;
-        let reset = check
-            .function_cover(a, Dir::Fall)
-            .map_err(|v| McError::NotMonotonous { violations: v.len() })?;
-        covers.push((a, set, reset));
-    }
-    Ok(build_from_covers(sg, covers, target))
 }
 
 /// Convenience: a [`Cover`] view of a function (for minimizer interop).

@@ -147,12 +147,9 @@ counters! {
     BeamDeduped => ("beam.deduped", Sum),
     BeamPruned => ("beam.pruned", Sum),
     BeamSignalsInserted => ("beam.signals_inserted", Sum),
-    // Portfolio fallback races when a beam node finds no candidate under
-    // the primary solver configuration; wins are per fallback config.
+    // Beam nodes whose candidate search came up empty (dead ends). The
+    // historical name is kept so existing reports keep their series.
     PortfolioRaces => ("portfolio.races", Sum),
-    PortfolioWinsCfg1 => ("portfolio.wins_cfg1", Sum),
-    PortfolioWinsCfg2 => ("portfolio.wins_cfg2", Sum),
-    PortfolioWinsCfg3 => ("portfolio.wins_cfg3", Sum),
     // The symbolic state-space layer: interning arenas and frontier BFS.
     ArenaStatesInterned => ("arena.states_interned", Sum),
     ArenaPeakBytes => ("arena.peak_bytes", Max),

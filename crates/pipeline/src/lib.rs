@@ -45,7 +45,7 @@ use simc_cache::{domains, Cache, Key, KeyHasher};
 use simc_formats::{Artifact, SourceKind, CANONICAL_MODEL};
 use simc_mc::assign::{reduce_to_mc, ReduceOptions};
 use simc_mc::parallel::ParallelSynth;
-use simc_mc::synth::{build_from_covers, Implementation, Target};
+use simc_mc::synth::{build_from_report, Implementation, Target};
 use simc_mc::{McCheck, McReport};
 use simc_netlist::{verify, Netlist, VerifyOptions};
 use simc_sg::{canonical_sg, parse_sg, Regions, StateGraph};
@@ -305,14 +305,22 @@ impl Pipeline {
         }
     }
 
-    fn cache_lookup(&self, key: &Key) -> Option<Vec<u8>> {
-        let cache = self.cache.as_deref()?;
-        simc_cache::lookup(cache, key)
+    /// A stage's cache key, hashed only when a cache is attached: the
+    /// keys cover the whole canonical text, which runs to megabytes on
+    /// large specs, and without a cache nobody reads them.
+    fn cache_key(&self, key: impl FnOnce() -> Key) -> Option<Key> {
+        self.cache.as_ref().map(|_| key())
     }
 
-    fn cache_store(&self, key: &Key, value: &[u8]) {
-        if let Some(cache) = self.cache.as_deref() {
-            simc_cache::store(cache, key, value);
+    fn cache_lookup(&self, key: Option<&Key>) -> Option<Vec<u8>> {
+        simc_cache::lookup(self.cache.as_deref()?, key?)
+    }
+
+    /// Stores `value()` under `key`; the value is encoded only when a
+    /// cache is attached.
+    fn cache_store<V: AsRef<[u8]>>(&self, key: Option<&Key>, value: impl FnOnce() -> V) {
+        if let (Some(cache), Some(key)) = (self.cache.as_deref(), key) {
+            simc_cache::store(cache, key, value().as_ref());
         }
     }
 
@@ -326,16 +334,17 @@ impl Pipeline {
             let canonical = match source {
                 Source::Sg(sg) => canonical_sg(sg, CANONICAL_MODEL),
                 Source::Text(text) => {
-                    let key = simc_cache::key_of(domains::ELABORATE, &[text.as_bytes()]);
+                    let key =
+                        self.cache_key(|| simc_cache::key_of(domains::ELABORATE, &[text.as_bytes()]));
                     let revived = self
-                        .cache_lookup(&key)
+                        .cache_lookup(key.as_ref())
                         .and_then(|bytes| codec::decode_sg_text(&bytes));
                     match revived {
                         Some(canonical) => canonical,
                         None => {
                             let sg = elaborate_text(text)?;
                             let canonical = canonical_sg(&sg, CANONICAL_MODEL);
-                            self.cache_store(&key, canonical.as_bytes());
+                            self.cache_store(key.as_ref(), || canonical.as_bytes());
                             canonical
                         }
                     }
@@ -356,8 +365,10 @@ impl Pipeline {
             self.elaborated()?;
             self.check_deadline("regions")?;
             let elaborated = self.elaborated.as_ref().expect("elaborated");
-            let key = simc_cache::key_of(domains::REGIONS, &[elaborated.canonical.as_bytes()]);
-            let revived = self.cache_lookup(&key).and_then(|bytes| {
+            let key = self.cache_key(|| {
+                simc_cache::key_of(domains::REGIONS, &[elaborated.canonical.as_bytes()])
+            });
+            let revived = self.cache_lookup(key.as_ref()).and_then(|bytes| {
                 Regions::from_cache_bytes(
                     &bytes,
                     elaborated.sg.state_count(),
@@ -368,7 +379,7 @@ impl Pipeline {
                 Some(regions) => regions,
                 None => {
                     let regions = elaborated.sg.regions();
-                    self.cache_store(&key, &regions.to_cache_bytes());
+                    self.cache_store(key.as_ref(), || regions.to_cache_bytes());
                     regions
                 }
             };
@@ -423,15 +434,10 @@ impl Pipeline {
                         self.threads,
                         self.cache.as_deref(),
                     );
-                    if !report.satisfied() {
-                        return Err(Error::Mc(simc_mc::McError::NotMonotonous {
-                            violations: report.violation_count(),
-                        }));
-                    }
                     (working, working_canonical, added, log, report)
                 };
             let implementation =
-                implementation_from_report(&working, &working_report, self.target);
+                build_from_report(&working, &working_report, self.target).map_err(Error::Mc)?;
             let netlist = implementation.to_netlist().map_err(Error::Mc)?;
             self.implemented = Some(Implemented {
                 implementation,
@@ -453,16 +459,18 @@ impl Pipeline {
             self.implemented()?;
             self.check_deadline("verify")?;
             let implemented = self.implemented.as_ref().expect("implemented");
-            let mut hasher = KeyHasher::new(domains::VERDICT);
-            hasher.update(implemented.working_canonical.as_bytes());
-            hasher.update(target_tag(self.target).as_bytes());
-            hasher.update_u64(self.verify_options.max_states as u64);
-            hasher.update_u64(self.verify_options.max_violations as u64);
-            hasher.update_u64(u64::from(self.verify_options.flag_clashes));
-            hasher.update_u64(u64::from(self.verify_options.reduction));
-            let key = hasher.finish();
+            let key = self.cache_key(|| {
+                let mut hasher = KeyHasher::new(domains::VERDICT);
+                hasher.update(implemented.working_canonical.as_bytes());
+                hasher.update(target_tag(self.target).as_bytes());
+                hasher.update_u64(self.verify_options.max_states as u64);
+                hasher.update_u64(self.verify_options.max_violations as u64);
+                hasher.update_u64(u64::from(self.verify_options.flag_clashes));
+                hasher.update_u64(u64::from(self.verify_options.reduction));
+                hasher.finish()
+            });
             let revived = self
-                .cache_lookup(&key)
+                .cache_lookup(key.as_ref())
                 .and_then(|bytes| codec::decode_verdict(&bytes));
             let verified = match revived {
                 Some((ok, explored, violations)) => Verified { ok, explored, violations },
@@ -477,10 +485,9 @@ impl Pipeline {
                         .collect();
                     let verified =
                         Verified { ok: report.is_ok(), explored: report.explored, violations };
-                    self.cache_store(
-                        &key,
-                        &codec::encode_verdict(verified.ok, verified.explored, &verified.violations),
-                    );
+                    self.cache_store(key.as_ref(), || {
+                        codec::encode_verdict(verified.ok, verified.explored, &verified.violations)
+                    });
                     verified
                 }
             };
@@ -506,19 +513,21 @@ impl Pipeline {
         let format = simc_formats::by_id(format_id).map_err(Error::Format)?;
         self.elaborated()?;
         self.check_deadline("convert")?;
-        let canonical = self.elaborated.as_ref().expect("elaborated").canonical.clone();
-        let key = simc_cache::key_of(
-            domains::CONVERT,
-            &[
-                canonical.as_bytes(),
-                format.id().as_bytes(),
-                b"emit",
-                target_tag(self.target).as_bytes(),
-            ],
-        );
+        let key = self.cache_key(|| {
+            let canonical = &self.elaborated.as_ref().expect("elaborated").canonical;
+            simc_cache::key_of(
+                domains::CONVERT,
+                &[
+                    canonical.as_bytes(),
+                    format.id().as_bytes(),
+                    b"emit",
+                    target_tag(self.target).as_bytes(),
+                ],
+            )
+        });
         // Look up before deciding to synthesize: a warm cache must not
         // run the netlist stages at all.
-        if let Some(bytes) = self.cache_lookup(&key) {
+        if let Some(bytes) = self.cache_lookup(key.as_ref()) {
             if let Ok(text) = String::from_utf8(bytes) {
                 return Ok(text);
             }
@@ -535,7 +544,7 @@ impl Pipeline {
         };
         simc_obs::add(simc_obs::Counter::ConvertEmits, 1);
         simc_obs::add(simc_obs::Counter::ConvertBytesEmitted, text.len() as u64);
-        self.cache_store(&key, text.as_bytes());
+        self.cache_store(key.as_ref(), || text.as_bytes());
         Ok(text)
     }
 
@@ -543,14 +552,16 @@ impl Pipeline {
     fn reduce_stage(&mut self) -> Result<(StateGraph, String, usize, Vec<String>), Error> {
         let elaborated = self.elaborated.as_ref().expect("elaborated");
         let opts = self.reduce_options;
-        let mut hasher = KeyHasher::new(domains::REDUCE);
-        hasher.update(elaborated.canonical.as_bytes());
-        for field in [opts.max_signals, opts.max_candidates, opts.beam_width, opts.branch] {
-            hasher.update_u64(field as u64);
-        }
-        let key = hasher.finish();
+        let key = self.cache_key(|| {
+            let mut hasher = KeyHasher::new(domains::REDUCE);
+            hasher.update(elaborated.canonical.as_bytes());
+            for field in [opts.max_signals, opts.max_candidates, opts.beam_width, opts.branch] {
+                hasher.update_u64(field as u64);
+            }
+            hasher.finish()
+        });
         if let Some((canonical, added, log)) = self
-            .cache_lookup(&key)
+            .cache_lookup(key.as_ref())
             .and_then(|bytes| codec::decode_reduce(&bytes))
         {
             if let Ok(sg) = parse_sg(&canonical) {
@@ -561,7 +572,9 @@ impl Pipeline {
         let canonical = canonical_sg(&result.sg, CANONICAL_MODEL);
         // Work in the canonical numbering, like every other stage.
         let sg = parse_sg(&canonical)?;
-        self.cache_store(&key, &codec::encode_reduce(&canonical, result.added, &result.log));
+        self.cache_store(key.as_ref(), || {
+            codec::encode_reduce(&canonical, result.added, &result.log)
+        });
         Ok((sg, canonical, result.added, result.log))
     }
 }
@@ -586,41 +599,23 @@ fn report_for(
     threads: usize,
     cache: Option<&dyn Cache>,
 ) -> McReport {
-    let key = simc_cache::key_of(domains::MC_REPORT, &[canonical.as_bytes()]);
-    if let Some(cache) = cache {
-        if let Some(report) = simc_cache::lookup(cache, &key)
-            .and_then(|bytes| codec::decode_report(&bytes, sg.state_count(), sg.signal_count()))
-        {
-            return report;
-        }
-    }
-    let check = match regions {
-        Some(regions) => McCheck::from_parts(sg, regions.clone()),
-        None => McCheck::new(sg),
+    let compute = || {
+        let check = match regions {
+            Some(regions) => McCheck::from_parts(sg, regions.clone()),
+            None => McCheck::new(sg),
+        };
+        ParallelSynth::new(threads).report(&check)
     };
-    let report = ParallelSynth::new(threads).report(&check);
-    if let Some(cache) = cache {
-        simc_cache::store(cache, &key, &codec::encode_report(&report));
+    let Some(cache) = cache else { return compute() };
+    let key = simc_cache::key_of(domains::MC_REPORT, &[canonical.as_bytes()]);
+    if let Some(report) = simc_cache::lookup(cache, &key)
+        .and_then(|bytes| codec::decode_report(&bytes, sg.state_count(), sg.signal_count()))
+    {
+        return report;
     }
+    let report = compute();
+    simc_cache::store(cache, &key, &codec::encode_report(&report));
     report
-}
-
-/// Pairs the up/down entries of a satisfied report and builds the
-/// implementation without re-running the cover search.
-fn implementation_from_report(
-    sg: &StateGraph,
-    report: &McReport,
-    target: Target,
-) -> Implementation {
-    let mut covers = Vec::with_capacity(report.entries().len() / 2);
-    let mut entries = report.entries().iter();
-    while let (Some(up), Some(down)) = (entries.next(), entries.next()) {
-        debug_assert_eq!(up.signal, down.signal);
-        let set = up.result.clone().expect("satisfied report");
-        let reset = down.result.clone().expect("satisfied report");
-        covers.push((up.signal, set, reset));
-    }
-    build_from_covers(sg, covers, target)
 }
 
 /// Stable tag naming a target in cache keys.

@@ -31,8 +31,7 @@
 //! target and budgets), so N identical in-flight requests run one
 //! pipeline and share its result — the `X-Simc-Flight: led|joined`
 //! response header says which path a request took. The worker pool is a
-//! bounded queue drained by `simc_mc::parallel::parallel_map`, the same
-//! scoped-thread pool the synthesis stages use.
+//! bounded queue drained by a fixed set of scoped worker threads.
 //!
 //! Request headers: `X-Simc-Target: c-element|rs-latch`,
 //! `X-Simc-Format: sg|edif|spice|dot` (`/v1/convert` only),
@@ -56,7 +55,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use simc_cache::{domains, Cache, KeyHasher};
-use simc_mc::parallel::{parallel_map_exact, ParallelSynth};
+use simc_mc::parallel::ParallelSynth;
 use simc_mc::synth::Target;
 use simc_formats::Format;
 use simc_netlist::VerifyOptions;
@@ -172,8 +171,8 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds and starts accepting. Worker threads are spawned through
-    /// `simc_mc::parallel::parallel_map` on a pool thread. Counter
+    /// Binds and starts accepting. Worker threads are scoped under a
+    /// pool thread that outlives them all. Counter
     /// recording is switched on: a daemon's `/stats` endpoint is its
     /// only introspection surface, so metrics are not opt-in here.
     pub fn start(config: ServeConfig) -> std::io::Result<Server> {
@@ -200,18 +199,19 @@ impl Server {
             cache: config.cache,
             test_hooks: config.test_hooks,
         });
-        // The pool: one long-lived worker loop per slot, all driven by
-        // the same scoped-thread runner the cover search uses.
+        // The pool: one long-lived worker loop per worker. Workers block
+        // on the queue and on joined flights, so the count is exactly
+        // `workers`, even where that outnumbers hardware threads.
         let pool = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("simc-serve-pool".to_string())
                 .spawn(move || {
-                    let slots: Vec<usize> = (0..shared.workers).collect();
-                    // The *exact* variant: pool workers block on the
-                    // queue and on joined flights, so they must exist
-                    // even when they outnumber hardware threads.
-                    parallel_map_exact(&slots, shared.workers, |_| worker_loop(&shared));
+                    std::thread::scope(|scope| {
+                        for _ in 0..shared.workers {
+                            scope.spawn(|| worker_loop(&shared));
+                        }
+                    });
                 })
                 .expect("spawn worker pool")
         };

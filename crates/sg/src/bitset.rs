@@ -8,12 +8,11 @@
 //! giving O(1) membership, cache-friendly unions, and word-at-a-time
 //! iteration.
 
-use serde::{Deserialize, Serialize};
 
 use crate::graph::StateId;
 
 /// A fixed-domain dense bitset over state ids `0..len`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitSet {
     words: Vec<u64>,
     len: usize,

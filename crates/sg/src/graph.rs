@@ -3,7 +3,6 @@
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 
 use crate::code::{StateCode, MAX_SIGNALS};
 use crate::error::SgError;
@@ -12,7 +11,7 @@ use crate::regions::Regions;
 use crate::signal::{Dir, Signal, SignalId, SignalKind, Transition};
 
 /// Index of a state within a [`StateGraph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StateId(pub(crate) u32);
 
 impl StateId {
@@ -33,7 +32,7 @@ impl fmt::Display for StateId {
     }
 }
 
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct StateData {
     pub(crate) code: StateCode,
     pub(crate) succs: Vec<(Transition, StateId)>,
@@ -48,7 +47,7 @@ pub(crate) struct StateData {
 ///
 /// Construct one with [`SgBuilder`], [`StateGraph::from_starred_codes`], or
 /// the higher-level translators in the `simc-stg` crate.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StateGraph {
     signals: Vec<Signal>,
     states: Vec<StateData>,

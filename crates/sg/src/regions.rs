@@ -1,14 +1,13 @@
 //! Region analysis: excitation, quiescent and constant-function regions
 //! (Definitions 5–12 of the paper).
 
-use serde::{Deserialize, Serialize};
 
 use crate::bitset::BitSet;
 use crate::graph::{StateGraph, StateId};
 use crate::signal::{Dir, SignalId, Transition};
 
 /// Index of an excitation region within a [`Regions`] analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ErId(pub(crate) u32);
 
 impl ErId {
@@ -28,7 +27,7 @@ impl ErId {
 
 /// An excitation region `ER(±a_j)` (Definition 5): a maximal connected set
 /// of states in which signal `a` has the same value and is excited.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExcitationRegion {
     signal: SignalId,
     dir: Dir,
@@ -84,7 +83,7 @@ impl ExcitationRegion {
 /// Holds every excitation region of every signal together with the derived
 /// quiescent regions, and answers the ordering/trigger/persistency queries
 /// of Section II-B.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Regions {
     ers: Vec<ExcitationRegion>,
     /// Quiescent region per ER, parallel to `ers` (may be empty).

@@ -59,7 +59,6 @@ fn edif_round_trips_two_hundred_fuzzed_netlists() {
         max_candidates: 12,
         beam_width: 6,
         branch: 4,
-        ..ReduceOptions::default()
     };
     let mut checked = 0u32;
     for case in 0..600 {

@@ -402,7 +402,6 @@ fn reduced_verification_matches_full_exploration() {
         max_candidates: 12,
         beam_width: 6,
         branch: 4,
-        ..ReduceOptions::default()
     };
     let mut checked = 0;
     let mut case = 0;
